@@ -454,6 +454,7 @@ func campaignPatterns(b *testing.B) []units.Pattern {
 func BenchmarkGPUSimulatorGEMM(b *testing.B) {
 	job := workloads.GEMM{}.Build(rand.New(rand.NewSource(1)))
 	dev := gpu.NewDevice(gpu.DefaultConfig())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rr, err := job.Run(dev)

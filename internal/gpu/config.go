@@ -44,7 +44,7 @@ func (d Dim3) String() string { return fmt.Sprintf("(%d,%d,%d)", d.X, d.Y, d.Z) 
 type Config struct {
 	NumSMs         int    // streaming multiprocessors
 	PPBsPerSM      int    // sub-partitions per SM
-	MaxWarpsPerSM  int    // resident warp slots per SM
+	MaxWarpsPerSM  int    // resident warp slots per SM (at most 64)
 	GlobalMemWords int    // words of global memory
 	SharedMemWords int    // words of shared memory per CTA
 	ConstMemWords  int    // words of constant memory (kernel params)
@@ -71,8 +71,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: NumSMs must be >= 1, got %d", c.NumSMs)
 	case c.PPBsPerSM < 1:
 		return fmt.Errorf("gpu: PPBsPerSM must be >= 1, got %d", c.PPBsPerSM)
-	case c.MaxWarpsPerSM < 1:
-		return fmt.Errorf("gpu: MaxWarpsPerSM must be >= 1, got %d", c.MaxWarpsPerSM)
+	case c.MaxWarpsPerSM < 1 || c.MaxWarpsPerSM > 64:
+		return fmt.Errorf("gpu: MaxWarpsPerSM must be in [1, 64], got %d", c.MaxWarpsPerSM)
 	case c.GlobalMemWords < 1:
 		return fmt.Errorf("gpu: GlobalMemWords must be >= 1, got %d", c.GlobalMemWords)
 	case c.MaxIssues == 0:

@@ -126,9 +126,14 @@ func TestDivergentBranchReconverges(t *testing.T) {
 	b.GST(5, 0, 0) // global[32+tid] = tid (post-reconvergence)
 	b.EXIT()
 	d := NewDevice(DefaultConfig())
+	var checked uint64
+	d.AddHook(IssueSetOracle(t, &checked))
 	res, err := d.Launch(b.MustBuild(), LaunchConfig{Grid: Dim3{X: 1}, Block: Dim3{X: 32}})
 	if err != nil || res.Hung() {
 		t.Fatalf("err=%v res=%v", err, res)
+	}
+	if checked != res.Issues {
+		t.Fatalf("oracle checked %d of %d issues", checked, res.Issues)
 	}
 	for i := 0; i < 32; i++ {
 		want := uint32(1)
@@ -170,11 +175,16 @@ func TestBarrierAndSharedMemoryReduction(t *testing.T) {
 	b.GST(8, 0, 4)
 	b.Label("done").EXIT()
 	d := NewDevice(DefaultConfig())
+	var checked uint64
+	d.AddHook(IssueSetOracle(t, &checked))
 	res, err := d.Launch(b.MustBuild(), LaunchConfig{
 		Grid: Dim3{X: 1}, Block: Dim3{X: 64}, SharedWords: 64,
 	})
 	if err != nil || res.Hung() {
 		t.Fatalf("err=%v res=%v", err, res)
+	}
+	if checked != res.Issues {
+		t.Fatalf("oracle checked %d of %d issues", checked, res.Issues)
 	}
 	if d.Global[0] != 64*65/2 {
 		t.Fatalf("reduction = %d, want %d", d.Global[0], 64*65/2)
@@ -296,10 +306,15 @@ func TestBarrierDiscountsExitedLanes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxIssues = 10000
 	d := NewDevice(cfg)
+	var checked uint64
+	d.AddHook(IssueSetOracle(t, &checked))
 	// Two warps so the barrier is genuinely cross-warp.
 	res, _ := d.Launch(b.MustBuild(), LaunchConfig{Grid: Dim3{X: 1}, Block: Dim3{X: 64}})
 	if res.Hung() {
 		t.Fatalf("barrier with exited lane hung: %v", res)
+	}
+	if checked != res.Issues {
+		t.Fatalf("oracle checked %d of %d issues", checked, res.Issues)
 	}
 }
 
@@ -508,6 +523,7 @@ func TestConfigValidate(t *testing.T) {
 		{NumSMs: 1},
 		{NumSMs: 1, PPBsPerSM: 1},
 		{NumSMs: 1, PPBsPerSM: 1, MaxWarpsPerSM: 4},
+		{NumSMs: 1, PPBsPerSM: 1, MaxWarpsPerSM: 65, GlobalMemWords: 1, MaxIssues: 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

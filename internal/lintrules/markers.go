@@ -55,10 +55,11 @@ var InstrumentedFiles = []string{
 // HotPathFuncs are the simulation inner-loop functions held to the
 // hotpath analyzer (no fmt, no local append, no locks), keyed
 // "file:FuncName" relative to the module root: the golden/faulty kernel
-// sweeps, the event engine's delta propagation, and the sharded grading
-// and replay loops. Removing a //vetsim:hotpath marker from — or
-// renaming away — any of these is a diagnostic, so the governed set can
-// grow but never silently shrink.
+// sweeps, the event engine's delta propagation, the sharded grading and
+// replay loops, and the SIMT simulator's issue path and warp kernels.
+// Removing a //vetsim:hotpath marker from — or renaming away — any of
+// these is a diagnostic, so the governed set can grow but never silently
+// shrink.
 var HotPathFuncs = []string{
 	"internal/gatesim/engine/engine.go:BeginCycle",
 	"internal/gatesim/engine/engine.go:Clock",
@@ -71,6 +72,12 @@ var HotPathFuncs = []string{
 	"internal/gatesim/shard.go:mergeEvents",
 	"internal/gatesim/shard.go:recordCycle",
 	"internal/gatesim/shard.go:runBatch",
+	"internal/gpu/device.go:aluKernel",
+	"internal/gpu/device.go:execute",
+	"internal/gpu/device.go:issue",
+	"internal/gpu/device.go:memKernel",
+	"internal/gpu/device.go:predKernel",
+	"internal/gpu/warp.go:schedulable",
 	"internal/netlist/eval.go:Eval",
 }
 

@@ -280,7 +280,7 @@ func (h *tmxmHook) After(ctx *gpu.InstrCtx) {
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			pc := uint32(ctx.W.PC[lane])
 			fpc, _ := forceBit(pc, s.Bit, s.Stuck)
-			ctx.W.PC[lane] = int32(fpc)
+			ctx.W.SetPC(lane, int32(fpc))
 		}
 	}
 }
@@ -331,8 +331,9 @@ func tmxmDeviceConfig() gpu.Config {
 }
 
 // RunTMxM executes the tiled MxM mini-app with one persistent scheduler or
-// pipeline fault and classifies the output corruption.
-func RunTMxM(site Site, kind TileKind, seed int64) TMxMResult {
+// pipeline fault and classifies the output corruption. Observer hooks run
+// on the faulty device after the fault's own hook.
+func RunTMxM(site Site, kind TileKind, seed int64, observers ...gpu.Hook) TMxMResult {
 	rng := rand.New(rand.NewSource(seed))
 	a, b := tileInputs(kind, TMxMSize, rng)
 	job := workloads.TiledMxMJob(a, b, TMxMSize)
@@ -344,13 +345,16 @@ func RunTMxM(site Site, kind TileKind, seed int64) TMxMResult {
 		panic("rtlfi: golden t-MxM failed")
 	}
 	fdev := gpu.NewDevice(cfg)
-	return runTMxMInjected(site, job, golden.Output, fdev)
+	return runTMxMInjected(site, job, golden.Output, fdev, observers...)
 }
 
 // runTMxMInjected performs one faulty run against a prepared job/golden.
-func runTMxMInjected(site Site, job *workloads.Job, golden []uint32, fdev *gpu.Device) TMxMResult {
+func runTMxMInjected(site Site, job *workloads.Job, golden []uint32, fdev *gpu.Device, observers ...gpu.Hook) TMxMResult {
 	fdev.ClearHooks()
 	fdev.AddHook(&tmxmHook{site: site})
+	for _, h := range observers {
+		fdev.AddHook(h)
+	}
 	rr, err := job.Run(fdev)
 	if err != nil {
 		panic(err)
