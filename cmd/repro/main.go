@@ -110,7 +110,6 @@ func run(args []string, w io.Writer) error {
 	// RTL study: Figure 2, Figures 4-5, Figure 6, Table 2/Figure 7, Figure 8.
 	if want("fig2", "fig45") {
 		sp := runSpan.Child("rtl:micro")
-		defer sp.End()
 		section("")
 		mcfg := rtlfi.MicroConfig{Seed: *seed, ValuesPerRange: sc.microValues,
 			LanesSampled: sc.microLanes}
@@ -143,6 +142,7 @@ func run(args []string, w io.Writer) error {
 				}
 			}
 		}
+		sp.End()
 	}
 
 	if want("fig6", "fig7", "table2", "fig8") {
@@ -219,7 +219,6 @@ func run(args []string, w io.Writer) error {
 	// Extension: the Section-6.3 mitigation proposal, measured.
 	if want("mitigation") {
 		sp := runSpan.Child("mitigation")
-		defer sp.End()
 		section("")
 		for _, name := range []string{"mxm", "gemm"} {
 			var wl workloads.Workload
@@ -232,10 +231,12 @@ func run(args []string, w io.Writer) error {
 				Injections: sc.injections / 2, Seed: *seed,
 			})
 			if err != nil {
+				sp.End()
 				return err
 			}
 			fmt.Fprintln(w, mitigate.Render(name, dets))
 		}
+		sp.End()
 	}
 	return nil
 }

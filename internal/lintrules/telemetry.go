@@ -2,6 +2,7 @@ package lintrules
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -16,6 +17,9 @@ import (
 //   - a span that is started (StartSpan / Child) must be ended in the
 //     same function, or handed off visibly (returned, stored, passed
 //     on) — a leaked span corrupts the flight recorder's tree;
+//   - a span started in a nested block (an if, loop or case body) must
+//     not defer its End: the deferred call runs at function return, so
+//     the span would wrap the rest of the function, not its block;
 //   - metric handles (Registry.Counter/Gauge/Histogram) must not be
 //     created inside loops: registration takes the registry lock and
 //     allocates, so handles belong in package-level vars.
@@ -162,5 +166,35 @@ func checkSpanEnds(pass *Pass, fc funcCtx) {
 		if !ended && !escapes {
 			pass.Reportf(sp.id.Pos(), "span %q is started but never ended in this function: call %s.End() (usually deferred) or hand the span off", sp.id.Name, sp.id.Name)
 		}
+		if !inBlock(fc.body, sp.pos) {
+			checkNestedDefer(pass, fc.body, sp.id, obj)
+		}
 	}
+}
+
+// inBlock reports whether stmt is one of the block's own statements.
+func inBlock(b *ast.BlockStmt, stmt ast.Node) bool {
+	for _, s := range b.List {
+		if s == stmt {
+			return true
+		}
+	}
+	return false
+}
+
+// checkNestedDefer flags `defer sp.End()` for a span started in a nested
+// block of the function body.
+func checkNestedDefer(pass *Pass, body *ast.BlockStmt, id *ast.Ident, obj types.Object) {
+	inspectShallow(body, func(n ast.Node) bool {
+		d, ok := n.(*ast.DeferStmt)
+		if !ok {
+			return true
+		}
+		if sel, ok := ast.Unparen(d.Call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "End" {
+			if root := rootIdent(sel.X); root != nil && objectOf(pass.Info, root) == obj {
+				pass.Reportf(d.Pos(), "span %q is started in a nested block but its End is deferred to function return: call %s.End() at the end of the block", id.Name, id.Name)
+			}
+		}
+		return true
+	})
 }

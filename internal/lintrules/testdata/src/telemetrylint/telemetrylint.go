@@ -33,6 +33,36 @@ func endedSpan() {
 	defer sp.End()
 }
 
+func nestedDeferredEnd(parent *telemetry.Span, cond bool) {
+	if cond {
+		sp := parent.Child("stage")
+		defer sp.End() // want "span \"sp\" is started in a nested block but its End is deferred"
+		sp.SetAttr("k", "v")
+	}
+	for i := 0; i < 2; i++ {
+		sp := telemetry.StartSpan("iteration")
+		defer sp.End() // want "span \"sp\" is started in a nested block but its End is deferred"
+	}
+}
+
+func nestedEndedAtBlockEnd(parent *telemetry.Span, cond bool) {
+	if cond {
+		sp := parent.Child("stage")
+		sp.SetAttr("k", "v")
+		sp.End()
+	}
+}
+
+func nestedDeferInClosure(parent *telemetry.Span, cond bool) {
+	if cond {
+		sp := parent.Child("stage")
+		func() {
+			defer sp.End() // the literal's own return: ends with the block
+			sp.SetAttr("k", "v")
+		}()
+	}
+}
+
 func leakedChild(parent *telemetry.Span) {
 	sp := parent.Child("stage") // want "span \"sp\" is started but never ended"
 	sp.SetAttr("k", "v")

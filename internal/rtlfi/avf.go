@@ -80,17 +80,55 @@ func MicroAVF(op isa.Opcode, m Module, cfg MicroConfig) (AVFRow, []CorruptPair) 
 	cfg = cfg.withDefaults()
 	row := AVFRow{Op: op, Module: m}
 	var pairs []CorruptPair
-
-	sites := SitesFor(m, op)
 	var sdcEvents, corrThreads int
+	microSweep(op, m, Ranges(), cfg, func(res MicroResult) {
+		row.Injections++
+		switch res.Outcome {
+		case MicroMasked:
+			row.Masked++
+		case MicroSDCSingle:
+			row.SDCSingle++
+		case MicroSDCMulti:
+			row.SDCMulti++
+		case MicroDUE:
+			row.DUE++
+		}
+		if res.Outcome == MicroSDCSingle || res.Outcome == MicroSDCMulti {
+			sdcEvents++
+			corrThreads += res.CorruptedPerWarp
+			pairs = append(pairs, res.Corrupted...)
+		}
+	})
+	n := float64(row.Injections)
+	row.SDCSingle /= n
+	row.SDCMulti /= n
+	row.DUE /= n
+	row.Masked /= n
+	if sdcEvents > 0 {
+		row.AvgCorruptedThreads = float64(corrThreads) / float64(sdcEvents)
+	}
+	return row, pairs
+}
 
-	for _, rg := range Ranges() {
+// microSweep runs every stuck-at site of module m against op, over
+// cfg.ValuesPerRange value sets of each input range, and passes each
+// outcome to visit. Per-lane structures are replicated over sampled
+// lanes; the scheduler's Lane field is a warp slot assigned by the site
+// list itself and is not resampled. A value set's operands depend on the
+// range, the value set and the sampled lane but not on the site, so they
+// are drawn once and shared by every site.
+func microSweep(op isa.Opcode, m Module, ranges []InputRange, cfg MicroConfig, visit func(MicroResult)) {
+	sites := SitesFor(m, op)
+	operands := make([][3][nThreads]uint32, max(cfg.LanesSampled, 1))
+	for _, rg := range ranges {
 		for v := 0; v < cfg.ValuesPerRange; v++ {
 			seed := cfg.Seed ^ int64(op)<<8 ^ int64(m)<<16 ^ int64(rg)<<24 ^ int64(v)<<32
+			for l := range operands {
+				rng := rand.New(rand.NewSource(seed ^ int64(l)<<40))
+				o := &operands[l]
+				o[0], o[1], o[2] = microInputs(op, rg, rng)
+			}
 			for _, site := range sites {
-				// Replicate per-lane structures over sampled lanes. The
-				// scheduler's Lane field is a warp slot assigned by the
-				// site list itself and must not be resampled.
 				lanes := 1
 				sampled := m == ModFP32 || m == ModINT || m == ModSFU ||
 					site.Stage == StPipeOpA || site.Stage == StPipeOpB
@@ -102,37 +140,12 @@ func MicroAVF(op isa.Opcode, m Module, cfg MicroConfig) (AVFRow, []CorruptPair) 
 					if sampled {
 						s.Lane = l * 7 % NumFULanes // spread sampled lanes
 					}
-					rng := rand.New(rand.NewSource(seed ^ int64(l)<<40))
-					res := RunMicro(op, rg, s, rng)
-					row.Injections++
-					switch res.Outcome {
-					case MicroMasked:
-						row.Masked++
-					case MicroSDCSingle:
-						row.SDCSingle++
-					case MicroSDCMulti:
-						row.SDCMulti++
-					case MicroDUE:
-						row.DUE++
-					}
-					if res.Outcome == MicroSDCSingle || res.Outcome == MicroSDCMulti {
-						sdcEvents++
-						corrThreads += res.CorruptedPerWarp
-						pairs = append(pairs, res.Corrupted...)
-					}
+					o := &operands[l]
+					visit(runMicro(op, s, o[0], o[1], o[2]))
 				}
 			}
 		}
 	}
-	n := float64(row.Injections)
-	row.SDCSingle /= n
-	row.SDCMulti /= n
-	row.DUE /= n
-	row.Masked /= n
-	if sdcEvents > 0 {
-		row.AvgCorruptedThreads = float64(corrThreads) / float64(sdcEvents)
-	}
-	return row, pairs
 }
 
 // Figure2 computes the complete Figure 2 dataset: one AVFRow per
@@ -183,30 +196,11 @@ func RelativeErrors(pairs []CorruptPair, fp bool) []float64 {
 // panels of Figures 4-5. (MicroAVF merges the ranges; the paper's median
 // analysis needs them apart.)
 func MicroSyndrome(op isa.Opcode, m Module, rg InputRange, cfg MicroConfig) []CorruptPair {
-	cfg = cfg.withDefaults()
 	var pairs []CorruptPair
-	sites := SitesFor(m, op)
-	for v := 0; v < cfg.ValuesPerRange; v++ {
-		seed := cfg.Seed ^ int64(op)<<8 ^ int64(m)<<16 ^ int64(rg)<<24 ^ int64(v)<<32
-		for _, site := range sites {
-			lanes := 1
-			sampled := m == ModFP32 || m == ModINT || m == ModSFU ||
-				site.Stage == StPipeOpA || site.Stage == StPipeOpB
-			if sampled {
-				lanes = cfg.LanesSampled
-			}
-			for l := 0; l < lanes; l++ {
-				s := site
-				if sampled {
-					s.Lane = l * 7 % NumFULanes
-				}
-				rng := rand.New(rand.NewSource(seed ^ int64(l)<<40))
-				res := RunMicro(op, rg, s, rng)
-				if res.Outcome == MicroSDCSingle || res.Outcome == MicroSDCMulti {
-					pairs = append(pairs, res.Corrupted...)
-				}
-			}
+	microSweep(op, m, []InputRange{rg}, cfg.withDefaults(), func(res MicroResult) {
+		if res.Outcome == MicroSDCSingle || res.Outcome == MicroSDCMulti {
+			pairs = append(pairs, res.Corrupted...)
 		}
-	}
+	})
 	return pairs
 }

@@ -133,6 +133,11 @@ func isArith(op isa.Opcode) bool {
 // paper's setup of two full warps with no thread interaction.
 func RunMicro(op isa.Opcode, r InputRange, site Site, rng *rand.Rand) MicroResult {
 	a, b, c := microInputs(op, r, rng)
+	return runMicro(op, site, a, b, c)
+}
+
+// runMicro is RunMicro on operands already drawn.
+func runMicro(op isa.Opcode, site Site, a, b, c [nThreads]uint32) MicroResult {
 	if op == isa.OpGLD || op == isa.OpGST {
 		// Operand A is the base pointer of the data array.
 		for t := range a {

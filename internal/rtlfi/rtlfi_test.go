@@ -3,6 +3,7 @@ package rtlfi
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -349,4 +350,46 @@ func median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// TestMicroSweepMatchesPerSiteRunMicro: drawing a value set's operands
+// once and sharing them across sites must give exactly what a fresh
+// per-site RunMicro gives, for one instruction per module.
+func TestMicroSweepMatchesPerSiteRunMicro(t *testing.T) {
+	cfg := MicroConfig{Seed: 3, ValuesPerRange: 2, LanesSampled: 2}
+	for _, tc := range []struct {
+		op isa.Opcode
+		m  Module
+	}{
+		{isa.OpFMUL, ModFP32}, {isa.OpIADD, ModINT}, {isa.OpFSIN, ModSFU},
+		{isa.OpGLD, ModPipe}, {isa.OpBRA, ModSched},
+	} {
+		var want []MicroResult
+		for _, rg := range Ranges() {
+			for v := 0; v < cfg.ValuesPerRange; v++ {
+				seed := cfg.Seed ^ int64(tc.op)<<8 ^ int64(tc.m)<<16 ^ int64(rg)<<24 ^ int64(v)<<32
+				for _, site := range SitesFor(tc.m, tc.op) {
+					lanes := 1
+					sampled := tc.m == ModFP32 || tc.m == ModINT || tc.m == ModSFU ||
+						site.Stage == StPipeOpA || site.Stage == StPipeOpB
+					if sampled {
+						lanes = cfg.LanesSampled
+					}
+					for l := 0; l < lanes; l++ {
+						s := site
+						if sampled {
+							s.Lane = l * 7 % NumFULanes
+						}
+						want = append(want, RunMicro(tc.op, rg, s, rand.New(rand.NewSource(seed^int64(l)<<40))))
+					}
+				}
+			}
+		}
+		var got []MicroResult
+		microSweep(tc.op, tc.m, Ranges(), cfg, func(r MicroResult) { got = append(got, r) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v/%v: shared-operand sweep differs from per-site RunMicro (%d vs %d results)",
+				tc.op, tc.m, len(got), len(want))
+		}
+	}
 }
