@@ -526,7 +526,7 @@ func BenchmarkAblationPersistence(b *testing.B) {
 				d.TransientAt = uint64(i % 97)
 				d.DutyCycle = 8
 				fdev.ClearHooks()
-				fdev.AddHook(perfi.New(d, rand.New(rand.NewSource(int64(i)))))
+				fdev.AddHook(perfi.New(d))
 				rr, err := job.Run(fdev)
 				if err != nil {
 					b.Fatal(err)

@@ -45,7 +45,7 @@ func main() {
 		for i := 0; i < injections; i++ {
 			d := errmodel.Random(m, rng, 8, cfg.PPBsPerSM)
 			fdev.ClearHooks()
-			fdev.AddHook(perfi.New(d, rand.New(rand.NewSource(seed+int64(i)))))
+			fdev.AddHook(perfi.New(d))
 			rr, err := job.Run(fdev)
 			if err != nil {
 				log.Fatal(err)

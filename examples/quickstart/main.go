@@ -42,7 +42,7 @@ func main() {
 
 	// 4. Faulty run with the injector hooked into the device.
 	fdev := gpu.NewDevice(gpu.DefaultConfig())
-	fdev.AddHook(perfi.New(desc, rand.New(rand.NewSource(1))))
+	fdev.AddHook(perfi.New(desc))
 	faulty, err := job.Run(fdev)
 	if err != nil {
 		log.Fatal(err)

@@ -60,8 +60,9 @@ type trapError struct {
 }
 
 // trapf aborts the launch with a formatted trap. It is the execution
-// core's only formatting site, so the hot path never boxes arguments
-// unless a trap actually fires.
+// core's only formatting site (the watchdog's trap is formatted once per
+// budget, in Launch), so the hot path never boxes arguments unless a trap
+// actually fires.
 func trapf(kind TrapKind, format string, args ...any) {
 	panic(trapError{kind, fmt.Sprintf(format, args...)})
 }
@@ -79,6 +80,13 @@ type launchState struct {
 	shared []uint32 // the current CTA's shared segment (nil if none)
 	smem   []uint32 // backing store for shared, grown to the largest request
 	ctx    InstrCtx // handed to every hook call
+	lo, hi int32    // global words the current CTA stored: [lo,hi)
+	hang   hangState
+
+	// watchdog is the watchdog's trap for the budget watchdogAt, boxed
+	// once so that a hang allocates nothing.
+	watchdog   any
+	watchdogAt uint64
 
 	zero, sink [isa.WarpSize]uint32 // RZ's row for reads and for writes
 }
@@ -95,6 +103,11 @@ func (d *Device) Launch(prog *kasm.Program, lc LaunchConfig) (Result, error) {
 	}
 	st := &d.st
 	st.dev, st.prog, st.lc, st.res = d, prog, lc, Result{}
+	st.hang.on = d.memoryless()
+	if st.watchdogAt != d.Cfg.MaxIssues { // MaxIssues > 0, so the first launch formats
+		st.watchdogAt = d.Cfg.MaxIssues
+		st.watchdog = trapError{TrapWatchdog, fmt.Sprintf("issue budget %d exhausted", st.watchdogAt)}
+	}
 	st.code = st.code[:0]
 	for _, raw := range prog.Code {
 		st.code = append(st.code, isa.Decode(raw))
@@ -127,6 +140,8 @@ func (st *launchState) runCTA(cta Dim3, smID int) (trapped bool) {
 		clear(st.shared)
 	}
 	st.buildWarps(cta)
+	st.lo, st.hi = math.MaxInt32, 0
+	st.hang.startCTA(st.res.Issues)
 	st.ctx.Dev, st.ctx.Shared, st.ctx.Params = st.dev, st.shared, st.lc.Params
 
 	defer func() {
@@ -186,17 +201,27 @@ func (st *launchState) buildWarps(cta Dim3) {
 // exited, a trap fires, or the watchdog expires. live and ready are
 // bitmaps over the CTA's warps (Config.Validate caps a block at 64):
 // live warps have a lane that has not exited, ready warps a lane that
-// could issue. Only BAR, EXIT and barrier release change them.
+// could issue. Only BAR, EXIT and barrier release change them. With
+// every hook memoryless, each step first checks the CTA for a hang (see
+// hang.go).
 func (st *launchState) schedule() {
 	n := len(st.warps)
 	live := uint64(1)<<n - 1
 	ready := live
 	rr := 0
+	h := &st.hang
 	for live != 0 {
 		if ready == 0 {
 			// Unreachable: the release below runs whenever ready empties
 			// while a warp is live. A real GPU hangs here.
 			panic(trapError{TrapDeadlock, "no schedulable warp; barrier never releases"})
+		}
+		if h.on {
+			if rr == h.rr && live == h.live && ready == h.ready && st.sameState() {
+				st.fastForward()
+			} else if st.res.Issues == h.next {
+				st.snapshot(rr, live, ready)
+			}
 		}
 		next := ready &^ (uint64(1)<<rr - 1)
 		if next == 0 {
@@ -238,7 +263,7 @@ func (st *launchState) issue(w *Warp) isa.Opcode {
 	res := &st.res
 	res.Issues++
 	if res.Issues > st.dev.Cfg.MaxIssues {
-		trapf(TrapWatchdog, "issue budget %d exhausted", st.dev.Cfg.MaxIssues)
+		panic(st.watchdog)
 	}
 	if pc < 0 || int(pc) >= len(st.code) {
 		trapf(TrapBadPC, "fetch at pc=%d, program has %d instructions", pc, len(st.code))
@@ -446,7 +471,9 @@ func lanes(d, a, b, c *[isa.WarpSize]uint32, commit uint32, f func(x, y, z uint3
 }
 
 // memKernel applies a load or store to every lane in commit, in lane
-// order, trapping on the first out-of-bounds address.
+// order, trapping on the first out-of-bounds address. Global stores widen
+// the CTA's store range [lo,hi), which bounds what the hang detector
+// snapshots of global memory.
 //
 //vetsim:hotpath
 func (st *launchState) memKernel(w *Warp, in isa.Instruction, commit uint32, pc int32) {
@@ -469,6 +496,7 @@ func (st *launchState) memKernel(w *Warp, in isa.Instruction, commit uint32, pc 
 		data = st.dst(w, in.Rd)
 	}
 	base, off := st.src(w, in.Rs1), in.SImm()
+	lo, hi := st.lo, st.hi
 	for m := commit; m != 0; m &= m - 1 {
 		l := lowLane(m)
 		addr := int32(base[l]) + off
@@ -477,9 +505,13 @@ func (st *launchState) memKernel(w *Warp, in isa.Instruction, commit uint32, pc 
 		}
 		if store {
 			mem[addr] = data[l]
+			lo, hi = min(lo, addr), max(hi, addr+1)
 		} else {
 			data[l] = mem[addr]
 		}
+	}
+	if in.Op == isa.OpGST {
+		st.lo, st.hi = lo, hi
 	}
 }
 

@@ -77,3 +77,40 @@ func TestJobRunAllocatesOnlyResult(t *testing.T) {
 		t.Fatalf("Job.Run allocated %v times per run, want 2 (RunResult and Output)", allocs)
 	}
 }
+
+// detain is a memoryless hook that turns the instruction at pc into a
+// branch to itself, as perfi's IAC detention does: the job hangs.
+type detain struct{ pc int32 }
+
+func (detain) Memoryless() bool { return true }
+func (h detain) Before(ctx *gpu.InstrCtx) {
+	if ctx.PC == h.pc {
+		ctx.Instr = isa.Instruction{Op: isa.OpBRA, Pred: isa.PT, Imm: uint16(h.pc)}
+	}
+}
+func (detain) After(*gpu.InstrCtx) {}
+
+// TestHangingJobRunAllocatesOnlyResult: a job that hangs, on a reused
+// device whose hook opts in to the hang fast-forward, allocates only the
+// RunResult (a trapped run reads no output), snapshots included.
+func TestHangingJobRunAllocatesOnlyResult(t *testing.T) {
+	job := workloads.GEMM{}.Build(rand.New(rand.NewSource(1)))
+	cfg := gpu.DefaultConfig()
+	cfg.GlobalMemWords = job.Footprint() + 64
+	golden, err := job.Run(gpu.NewDevice(cfg))
+	if err != nil || golden.Hung() {
+		t.Fatalf("gemm golden: err=%v res=%+v", err, golden)
+	}
+	cfg.MaxIssues = golden.Issues*8 + 10000
+	dev := gpu.NewDevice(cfg)
+	dev.AddHook(detain{pc: int32(job.Kernels[0].Prog.Len() / 2)})
+	allocs := testing.AllocsPerRun(5, func() {
+		rr, err := job.Run(dev)
+		if err != nil || rr.Trap != gpu.TrapWatchdog || rr.Skipped == 0 {
+			t.Fatalf("gemm: want a fast-forwarded hang, got err=%v res=%+v", err, rr)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("hanging Job.Run allocated %v times per run, want 1 (RunResult)", allocs)
+	}
+}

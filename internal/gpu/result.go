@@ -42,6 +42,11 @@ type Result struct {
 	// UnitIssues counts issues per functional-unit class, used by the
 	// utilization column of Table 3.
 	UnitIssues [6]uint64
+
+	// Skipped counts the issues, included in Issues, that the hang
+	// fast-forward accounted for without simulating them (see
+	// MemorylessHook). It is nonzero only on a watchdog trap.
+	Skipped uint64
 }
 
 // Hung reports whether the launch terminated abnormally.

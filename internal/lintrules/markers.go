@@ -49,6 +49,7 @@ var InstrumentedFiles = []string{
 	"internal/gatesim/shard.go",
 	"internal/jobs/ledger.go",
 	"internal/jobs/scheduler.go",
+	"internal/perfi/campaign.go",
 	"internal/store/store.go",
 }
 
@@ -77,6 +78,7 @@ var HotPathFuncs = []string{
 	"internal/gpu/device.go:issue",
 	"internal/gpu/device.go:memKernel",
 	"internal/gpu/device.go:predKernel",
+	"internal/gpu/hang.go:sameState",
 	"internal/gpu/warp.go:schedulable",
 	"internal/netlist/eval.go:Eval",
 }

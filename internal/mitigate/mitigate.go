@@ -139,7 +139,7 @@ func Evaluate(w workloads.Workload, cfg Config) ([]Detection, error) {
 			// Faulty primary run (with CFC signature).
 			fsig := &cfcHook{}
 			fdev.ClearHooks()
-			fdev.AddHook(perfi.New(d, rand.New(rand.NewSource(cfg.Seed^int64(i)))))
+			fdev.AddHook(perfi.New(d))
 			fdev.AddHook(fsig)
 			rr, err := job.Run(fdev)
 			if err != nil {
@@ -159,7 +159,7 @@ func Evaluate(w workloads.Workload, cfg Config) ([]Detection, error) {
 			// Replica run: same fault, work displaced one slot.
 			ds := shiftWarps(d, maxWarps, devCfg.PPBsPerSM)
 			fdev.ClearHooks()
-			fdev.AddHook(perfi.New(ds, rand.New(rand.NewSource(cfg.Seed^int64(i)))))
+			fdev.AddHook(perfi.New(ds))
 			rs, err := job.Run(fdev)
 			if err != nil {
 				return nil, err

@@ -1,3 +1,4 @@
+//vetsim:instrumented
 package perfi
 
 import (
@@ -6,7 +7,16 @@ import (
 
 	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/gpu"
+	"gpufaultsim/internal/telemetry"
 	"gpufaultsim/internal/workloads"
+)
+
+// Hang metrics, counted in locals across an application's injections and
+// flushed once per RunApp, so the injection loop carries no telemetry
+// cost.
+var (
+	telHangs       = telemetry.Default().Counter("perfi_hangs_total", "faulty runs ended by the watchdog")
+	telHangsFastFw = telemetry.Default().Counter("perfi_hangs_fast_forwarded_total", "watchdog hangs whose periodic tail the device skipped")
 )
 
 // Config parameterizes a software-level error-injection campaign.
@@ -131,21 +141,30 @@ func RunApp(w workloads.Workload, cfg Config) (*AppResult, error) {
 	}
 
 	res := &AppResult{App: w.Name(), ByModel: make(map[errmodel.Model]Tally)}
+	var hangs, fastForwarded int64
 	for _, m := range cfg.Models {
 		var tally Tally
 		for i := 0; i < cfg.Injections; i++ {
 			d := errmodel.Random(m, rng, maxWarps, cfg.Device.PPBsPerSM)
 			fdev.ClearHooks()
-			fdev.AddHook(New(d, rand.New(rand.NewSource(cfg.Seed^int64(i)<<17))))
+			fdev.AddHook(New(d))
 			rr, err := job.Run(fdev)
 			if err != nil {
 				return nil, fmt.Errorf("perfi: %s/%v injection %d: %w",
 					w.Name(), m, i, err)
 			}
 			tally.Add(workloads.Classify(golden.Output, rr))
+			if rr.Trap == gpu.TrapWatchdog {
+				hangs++
+				if rr.Skipped != 0 {
+					fastForwarded++
+				}
+			}
 		}
 		res.ByModel[m] = tally
 	}
+	telHangs.Add(hangs)
+	telHangsFastFw.Add(fastForwarded)
 	return res, nil
 }
 

@@ -24,7 +24,7 @@ func Example() {
 		BitErrMask: 0x2,
 	}
 	fdev := gpu.NewDevice(gpu.DefaultConfig())
-	fdev.AddHook(perfi.New(desc, rand.New(rand.NewSource(1))))
+	fdev.AddHook(perfi.New(desc))
 	faulty, _ := job.Run(fdev)
 
 	fmt.Println(workloads.Classify(golden.Output, faulty))

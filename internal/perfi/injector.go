@@ -8,7 +8,6 @@ package perfi
 
 import (
 	"math"
-	"math/rand"
 
 	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/gpu"
@@ -22,8 +21,6 @@ import (
 type Injector struct {
 	D errmodel.Descriptor
 
-	rng *rand.Rand
-
 	// Scratch carried from Before to After of the current instruction.
 	saved     [isa.WarpSize]uint32
 	saved2    [isa.WarpSize]uint32
@@ -31,7 +28,9 @@ type Injector struct {
 	active    uint32 // lanes the Before hook acted on
 	armed     bool
 
-	// Activations counts dynamic instructions the injector corrupted.
+	// Activations counts dynamic instructions the injector corrupted,
+	// among those the device simulated: a hang the device fast-forwards
+	// (see gpu.MemorylessHook) counts only its simulated issues.
 	Activations uint64
 	// occurrences counts dynamic instructions the broken unit touched
 	// (whether or not the persistence gate let the corruption through).
@@ -58,11 +57,16 @@ func (inj *Injector) fire() bool {
 	}
 }
 
-// New builds an injector for the descriptor. The rng drives per-instruction
-// choices that the descriptor leaves open (it is part of the injection's
-// identity, so pass a deterministically seeded source).
-func New(d errmodel.Descriptor, rng *rand.Rand) *Injector {
-	return &Injector{D: d, rng: rng}
+// New builds an injector for the descriptor.
+func New(d errmodel.Descriptor) *Injector {
+	return &Injector{D: d}
+}
+
+// Memoryless implements gpu.MemorylessHook: a permanent fault corrupts
+// every occurrence alike, while transient and intermittent faults count
+// occurrences from one issue to the next.
+func (inj *Injector) Memoryless() bool {
+	return inj.D.Persistence == errmodel.Permanent
 }
 
 // lanes returns the targeted lanes among mask, or 0 if the warp is not

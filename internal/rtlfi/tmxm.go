@@ -139,6 +139,10 @@ func slotOf(w *gpu.Warp) int {
 	return (w.IDInSM + 2*cta) % SchedSlots
 }
 
+// Memoryless implements gpu.MemorylessHook: a stuck-at fault acts alike
+// on every issue, and the saved operands live only from Before to After.
+func (*tmxmHook) Memoryless() bool { return true }
+
 func (h *tmxmHook) Before(ctx *gpu.InstrCtx) {
 	h.armed = false
 	s := h.site

@@ -99,6 +99,9 @@ type RunResult struct {
 	// UnitIssues aggregates per-functional-unit issue counts across all
 	// kernels of the job.
 	UnitIssues [6]uint64
+	// Skipped counts the issues the hang fast-forward did not simulate
+	// (gpu.Result.Skipped).
+	Skipped uint64
 }
 
 // Hung reports whether any kernel of the job trapped.
@@ -122,6 +125,7 @@ func (j *Job) Run(dev *gpu.Device) (*RunResult, error) {
 			return nil, fmt.Errorf("workloads: kernel %d (%s): %w", i, k.Prog.Name, err)
 		}
 		rr.Issues += res.Issues
+		rr.Skipped += res.Skipped
 		for u, n := range res.UnitIssues {
 			rr.UnitIssues[u] += n
 		}

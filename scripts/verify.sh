@@ -41,6 +41,7 @@ echo "==> fuzz smoke"
 go test ./internal/kasm -run '^$' -fuzz '^FuzzKasmParse$' -fuzztime 5s
 go test ./internal/gatesim -run '^$' -fuzz '^FuzzNetlistEval$' -fuzztime 5s
 go test ./internal/workload -run '^$' -fuzz '^FuzzWorkloadSpec$' -fuzztime 5s
+go test ./internal/gpu -run '^$' -fuzz '^FuzzHangFastForward$' -fuzztime 5s
 
 # Golden end-to-end: the full default-scale repro output, byte-for-byte
 # (timing masked). Runs without -race on purpose — the test skips itself
